@@ -1,20 +1,27 @@
 """Wold-type layer decomposition f = sum_k h_k B^k with h_k in K_B.
 
 Multiplication by a finite Blaschke product B splits the Hardy space into
-the mutually orthogonal layers B^k K_B.  Peeling the layers off a truncated
-series is a projection/division loop:
+the mutually orthogonal layers B^k K_B.  B is inner, so dividing
+r - P_{K_B} r by B is applying the adjoint Toeplitz operator T_B^*, which
+annihilates K_B.  With (e_j) the Takenaka-Malmquist basis of K_B the
+layers peel off by the exact recursion
 
-    r_0 = f,   h_j = P_{K_B}(r_j),   r_{j+1} = (r_j - h_j) / B,
+    r_0 = f,   c_k[j] = <r_k, e_j>,   h_k = sum_j c_k[j] e_j,   r_{k+1} = T_B^* r_k.
 
-and the layers give equivalent norms on the weighted Dirichlet-type scale:
+T_B^* maps degree <= N polynomials to themselves (it is the conjugate
+transpose of the (N+1) x (N+1) Toeplitz matrix of B), so each layer costs
+one matrix-vector product, c_k needs only coefficients 0..N of the basis,
+and no division or special case for B = z^d is involved.
+
+The layers give equivalent norms on the weighted Dirichlet-type scale:
 ``b_norm`` is sqrt(sum_k (k+1)^alpha ||h_k||_{H^2}^2), which for B = z is
 exactly the diagonal (n+1)^alpha norm.
 
-All computations run at the guarded working degree from
-:func:`blaschkelab.model_space.guard_degree`; layers are reported at that
-degree.  The loop stops after ``depth`` layers or once the residual norm
-falls below ``residual_tol``.  A residual still above tolerance at depth
-raises :class:`DepthExhausted`, which carries the partial result.
+Layers are reported at the guarded working degree from
+:func:`blaschkelab.model_space.guard_degree`.  The loop stops after
+``depth`` layers or once the residual norm falls to ``residual_tol``.  A
+residual still above tolerance at depth raises :class:`DepthExhausted`,
+which carries the partial result.
 """
 
 from __future__ import annotations
@@ -24,17 +31,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .blaschke import BlaschkeProduct, multiplication_matrix
 from .model_space import guard_degree, tm_basis
 from .series import (
-    DEFAULT_ORDER_TOL,
     DEFAULT_RESIDUAL_TOL,
     ComplexSeries,
     PowerLawWeights,
     WeightSequence,
-    _divide_coeffs,
 )
 
 __all__ = [
@@ -48,11 +52,6 @@ __all__ = [
     "norm_equivalence_estimate",
     "reconstruct",
 ]
-
-
-# Quotient-degree margin for the least-squares division path: the top band
-# keeps the tall multiplication matrix near-isometric.
-DIVISION_GUARD = 8
 
 
 class RegimeWarning(UserWarning):
@@ -120,6 +119,53 @@ def default_depth(
     return depth
 
 
+def _peel(sources: np.ndarray, b: BlaschkeProduct, depth: int, residual_tol: float) -> tuple:
+    """TM coordinates of the layers of every column of ``sources``.
+
+    Each column holds the coefficients 0..N of one source.  Column by column
+    the recursion r_{k+1} = T_B^* r_k runs until the residual norm is at most
+    ``residual_tol``; a stopped column gets zero coordinates in later layers.
+    Returns ``(basis, coords, residual)``: the TM basis matrix at the guarded
+    degree, coords[k] = basis[:N+1]^H r_k of shape (layers, degree(B),
+    columns), and the norm of each column's last residual.  Raises
+    DepthExhausted, with the layers of the first column still above
+    tolerance, if any column needs more than ``depth`` layers.
+    """
+    if b.degree < 1:
+        raise ValueError("B must have at least one zero")
+    n = sources.shape[0] - 1
+    basis = tm_basis(b, guard_degree(b, n)).matrix()
+    head = basis[: n + 1].conj().T
+    adjoint = multiplication_matrix(b, n, n).conj().T
+    r = sources
+    residual = np.linalg.norm(r, axis=0)
+    coords = []
+    for _ in range(depth):
+        live = residual > residual_tol
+        if not live.any():
+            break
+        r = r * live
+        coords.append(head @ r)
+        r = adjoint @ r
+        residual = np.where(live, np.linalg.norm(r, axis=0), residual)
+    coords = np.array(coords).reshape(len(coords), b.degree, sources.shape[1])
+    stuck = np.flatnonzero(residual > residual_tol)
+    if stuck.size:
+        j = stuck[0]
+        partial = BAdicCoefficients(b, _layers(basis, coords[:, :, j]), n, float(residual[j]))
+        raise DepthExhausted(
+            f"residual norm {residual[j]:.3e} above tolerance {residual_tol:.1e} after {depth} layers",
+            partial,
+            float(residual[j]),
+        )
+    return basis, coords, residual
+
+
+def _layers(basis: np.ndarray, coords: np.ndarray) -> tuple:
+    """Layers h_k = basis @ coords[k] of one source, as series."""
+    return tuple(ComplexSeries(h) for h in (basis @ coords.T).T)
+
+
 def decompose(
     f: ComplexSeries,
     b: BlaschkeProduct,
@@ -131,58 +177,13 @@ def decompose(
     Raises DepthExhausted (carrying the partial result) if the residual is
     still above ``residual_tol`` after ``depth`` layers.
     """
-    if b.degree < 1:
-        raise ValueError("B must have at least one zero")
     rt = DEFAULT_RESIDUAL_TOL if residual_tol is None else residual_tol
     if depth is None:
         depth = default_depth(f.truncation_degree, b, rt)
     if depth < 1:
         raise ValueError("depth must be positive")
-
-    n_work = guard_degree(b, f.truncation_degree)
-    basis = tm_basis(b, n_work).matrix()
-
-    if all(z == 0 for z in b.zeros):
-        # B = e^{i theta} z^d: division is an exact coefficient shift.
-        b_coeffs = b.taylor(n_work).coeffs
-
-        def divide(v: np.ndarray) -> np.ndarray:
-            return _divide_coeffs(v, b_coeffs, n_work, DEFAULT_ORDER_TOL, max(rt, 1e-7))
-
-    else:
-        # Triangular deconvolution by B is exponentially ill-conditioned
-        # (1/B has poles inside the disc), so divide by least squares
-        # against the tall multiplication matrix instead: near-isometric
-        # columns, and the non-divisible roundoff component is dropped
-        # rather than amplified.
-        quotient_degree = n_work - b.degree - DIVISION_GUARD
-        tall = multiplication_matrix(b, quotient_degree, n_work)
-        q_fact, r_fact = qr(tall, mode="economic")
-
-        def divide(v: np.ndarray) -> np.ndarray:
-            q = solve_triangular(r_fact, q_fact.conj().T @ v)
-            out = np.zeros(n_work + 1, dtype=complex)
-            out[: quotient_degree + 1] = q
-            return out
-
-    r = f.resized(n_work).coeffs.copy()
-    layers = []
-    for _ in range(depth):
-        if np.linalg.norm(r) <= rt:
-            break
-        h = basis @ (basis.conj().T @ r)
-        layers.append(ComplexSeries(h))
-        r = divide(r - h)
-
-    residual = float(np.linalg.norm(r))
-    result = BAdicCoefficients(b, tuple(layers), f.truncation_degree, residual)
-    if residual > rt:
-        raise DepthExhausted(
-            f"residual norm {residual:.3e} above tolerance {rt:.1e} after {depth} layers",
-            result,
-            residual,
-        )
-    return result
+    basis, coords, residual = _peel(f.coeffs[:, None], b, depth, rt)
+    return BAdicCoefficients(b, _layers(basis, coords[:, :, 0]), f.truncation_degree, float(residual[0]))
 
 
 def reconstruct(coefficients: BAdicCoefficients, degree: int) -> ComplexSeries:
@@ -221,8 +222,12 @@ def b_norm(
     DepthExhausted from the decomposition propagates.
     """
     _check_regime(alpha)
-    c = decompose(f, b, depth)
-    norms = c.layer_h2_norms()
+    return _layer_norm(decompose(f, b, depth), alpha)
+
+
+def _layer_norm(coefficients: BAdicCoefficients, alpha: float) -> float:
+    """sqrt(sum_k (k+1)^alpha ||h_k||_{H^2}^2) of computed layers."""
+    norms = coefficients.layer_h2_norms()
     k = np.arange(1.0, norms.size + 1.0)
     return float(np.sqrt(np.sum(k**alpha * norms**2)))
 
@@ -285,9 +290,7 @@ def norm_equivalence_estimate(
                 if attempt == 3:
                     raise
                 depth *= 2
-        norms = coeffs.layer_h2_norms()
-        k = np.arange(1.0, norms.size + 1.0)
-        val = float(np.sqrt(np.sum(k**alpha * norms**2)))
+        val = _layer_norm(coeffs, alpha)
         lo = min(lo, val)
         hi = max(hi, val)
     return (lo, hi)

@@ -328,8 +328,8 @@ def cmd_bnorm(parser, args) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            badic._check_regime(args.alpha)
             coefficients = badic.decompose(args.f, args.blaschke, args.depth)
-            value = badic.b_norm(args.f, args.blaschke, args.alpha, args.depth)
     except badic.DepthExhausted as exc:
         payload = {
             "config": config,
@@ -340,6 +340,7 @@ def cmd_bnorm(parser, args) -> int:
         _emit(_json_text(payload), args.out)
         return EXIT_CRITERION
     regime = any(issubclass(w.category, badic.RegimeWarning) for w in caught)
+    value = badic._layer_norm(coefficients, args.alpha)
     payload = {
         "config": config,
         "b_norm": value,
@@ -668,6 +669,10 @@ def main(argv: list | None = None) -> int:
     except badic.DepthExhausted as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_CRITERION
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a numerical failure, not a usage error.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except (ValueError, ArithmeticError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -177,7 +177,7 @@ def _divide_coeffs(
     order_tol: float,
     residual_tol: float,
 ) -> np.ndarray:
-    """Deconvolution core shared by div() and the layer decomposition."""
+    """Deconvolution core of div() on raw coefficient arrays."""
     gm = np.abs(g)
     nz = np.nonzero(gm > order_tol)[0]
     if nz.size == 0:

@@ -7,8 +7,8 @@ a configurable inner product:
 * ``ShiftedInnerProduct(k, alpha)`` -- the diagonal norm of the k-shifted
   series, i.e. weights (n + k + 1)^alpha,
 * ``BAdicInnerProduct(B, weights, depth)`` -- the layer inner product of
-  :mod:`blaschkelab.badic`, materialized (and cached) as a dense Gram matrix
-  on the monomial basis.
+  :mod:`blaschkelab.badic`, materialized as a dense Gram matrix on the
+  monomial basis.
 
 ``span_invariant`` builds the truncated B-invariant subspace generated by a
 list of series: the orbit candidates B^j g are kept while
@@ -34,6 +34,7 @@ import numpy as np
 from . import badic
 from .blaschke import BlaschkeProduct, multiplication_matrix
 from .series import (
+    DEFAULT_RESIDUAL_TOL,
     ComplexSeries,
     PowerLawWeights,
     ShiftedWeights,
@@ -114,9 +115,12 @@ class ShiftedInnerProduct(InnerProduct):
 class BAdicInnerProduct(InnerProduct):
     """Layer inner product sum_k weights(k) <h_k(f), h_k(g)>_{H^2}.
 
-    The Gram matrix on the monomial basis is assembled by decomposing every
-    monomial once and cached per (B, weights, depth, degree).  Size ``depth``
-    as in :func:`blaschkelab.badic.default_depth`: zeros away from the origin
+    The Gram matrix on the monomial basis is built in one pass: the layer
+    recursion of :mod:`blaschkelab.badic` runs on all monomials at once,
+    giving the TM coordinates C_k of layer k for every monomial, and
+    G = sum_k weights(k) C_k^H C_k.  Each monomial stops at the default
+    residual tolerance, as its own decomposition would.  Size ``depth`` as
+    in :func:`blaschkelab.badic.default_depth`: zeros away from the origin
     spread degree-n data over about (n/degree(B)) * (1+rho)/(1-rho) layers
     (DepthExhausted propagates).
     """
@@ -126,33 +130,15 @@ class BAdicInnerProduct(InnerProduct):
     depth: int
 
     def gram(self, degree: int) -> np.ndarray:
-        key = (self, degree)
-        cached = _BADIC_GRAM_CACHE.get(key)
-        if cached is not None:
-            return cached
-        blocks = []
-        layer_counts = []
-        for j in range(degree + 1):
-            c = badic.decompose(ComplexSeries.monomial(j, 1.0, degree), self.blaschke, self.depth)
-            blocks.append(c.layers)
-            layer_counts.append(len(c.layers))
-        k_max = max(layer_counts)
-        w = self.weights.values(max(k_max, 1))
+        _, coords, _ = badic._peel(
+            np.eye(degree + 1, dtype=complex), self.blaschke, self.depth, DEFAULT_RESIDUAL_TOL
+        )
+        w = self.weights.values(coords.shape[0])
         if np.any(w <= 0.0):
             raise ValueError("layer weights must be positive")
-        width = len(blocks[0][0].coeffs) if blocks[0] else degree + 1
-        a = np.zeros((k_max * width, degree + 1), dtype=complex)
-        for j, layers in enumerate(blocks):
-            for k, h in enumerate(layers):
-                a[k * width : (k + 1) * width, j] = np.sqrt(w[k]) * h.coeffs
+        a = (np.sqrt(w)[:, None, None] * coords).reshape(-1, degree + 1)
         g = a.conj().T @ a
-        g = (g + g.conj().T) / 2.0
-        g.setflags(write=False)
-        _BADIC_GRAM_CACHE[key] = g
-        return g
-
-
-_BADIC_GRAM_CACHE: dict = {}
+        return (g + g.conj().T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Shared fixtures: seeded inputs and independent cross-check routes."""
 
+import mpmath
 import numpy as np
 
 import blaschkelab as bl
@@ -94,3 +95,79 @@ def distinct_zeros(rng, count, lo=0.05, hi=0.6, min_sep=0.15):
         )
         if ok:
             return zeros
+
+
+class MpLayerOracle:
+    """Layer coordinates of B at 50 digits, independent of the float code.
+
+    {e_j B^k} (e_j the Takenaka-Malmquist basis of the zero list) is an
+    orthonormal basis of H^2, so for deg f <= N the coordinate
+    c_{k,j} = <f, e_j B^k> is the finite sum over n <= N of
+    f_n * conj((e_j B^k)_n).  ``atom(k)`` holds the Taylor coefficients
+    0..N of e_j B^k for every j, built by series products in mpmath from
+    the exact float inputs; ``basis`` holds e_j through ``width``.
+    """
+
+    DPS = 50
+
+    def __init__(self, b, degree, width):
+        self.degree = degree
+        self.width = width
+        with mpmath.workdps(self.DPS):
+            zeros = [mpmath.mpc(z.real, z.imag) for z in b.zeros]
+            n = max(degree, width)
+            basis = []
+            prefix = [mpmath.mpc(1)] + [mpmath.mpc(0)] * n
+            for a in zeros:
+                kernel = [mpmath.sqrt(1 - abs(a) ** 2) * mpmath.conj(a) ** m for m in range(n + 1)]
+                basis.append(self._mul(prefix, kernel, n))
+                prefix = self._mul(prefix, self._factor(a, n), n)
+            self.basis = [e[: width + 1] for e in basis]
+            self.b_taylor = [mpmath.expj(mpmath.mpf(b.phase)) * c for c in prefix[: degree + 1]]
+            self._atoms = [[e[: degree + 1] for e in basis]]
+            # mass of each e_j beyond the width: what the truncated layers lose
+            self.truncation_loss = float(sum(1 - sum(abs(c) ** 2 for c in e) for e in self.basis))
+
+    def _factor(self, a, n):
+        geo = [mpmath.conj(a) ** m for m in range(n + 1)]
+        return [-a * geo[0]] + [geo[m - 1] - a * geo[m] for m in range(1, n + 1)]
+
+    @staticmethod
+    def _mul(x, y, n):
+        return [sum(x[i] * y[m - i] for i in range(m + 1)) for m in range(n + 1)]
+
+    def atom(self, k):
+        with mpmath.workdps(self.DPS):
+            while len(self._atoms) <= k:
+                self._atoms.append([self._mul(e, self.b_taylor, self.degree) for e in self._atoms[-1]])
+        return self._atoms[k]
+
+    def coords(self, f, layers):
+        """c_{k,j} = <f, e_j B^k> for k < layers, as mpc rows."""
+        fs = [mpmath.mpc(complex(c).real, complex(c).imag) for c in f.coeffs]
+        with mpmath.workdps(self.DPS):
+            return [
+                [sum(fn * mpmath.conj(en) for fn, en in zip(fs, e)) for e in self.atom(k)]
+                for k in range(layers)
+            ]
+
+    def layer(self, c_k):
+        """sum_j c_{k,j} e_j through the width, rounded to complex."""
+        with mpmath.workdps(self.DPS):
+            return np.array(
+                [complex(sum(c * e[n] for c, e in zip(c_k, self.basis))) for n in range(self.width + 1)]
+            )
+
+    def gram(self, weights, layer_counts):
+        """sum_k w_k <z^j B-layers, z^i B-layers>, layer k kept while k < min(K_i, K_j)."""
+        n = self.degree
+        out = np.zeros((n + 1, n + 1), dtype=complex)
+        with mpmath.workdps(self.DPS):
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    total = mpmath.mpc(0)
+                    for k in range(min(layer_counts[i], layer_counts[j])):
+                        total += weights[k] * sum(e[i] * mpmath.conj(e[j]) for e in self.atom(k))
+                    out[i, j] = complex(total)
+                    out[j, i] = complex(mpmath.conj(total))
+        return out

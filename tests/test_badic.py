@@ -1,11 +1,14 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blaschkelab as bl
 
-from helpers import distinct_zeros, oracle_layer_gap, random_series
+from helpers import MpLayerOracle, distinct_zeros, oracle_layer_gap, random_series
 
 
 Z = bl.BlaschkeProduct((0j,))
@@ -168,3 +171,91 @@ def test_norm_equivalence_deterministic():
     a = bl.norm_equivalence_estimate(HALF, -1.0, 32, 10, seed=42)
     b = bl.norm_equivalence_estimate(HALF, -1.0, 32, 10, seed=42)
     assert a == b
+
+
+# --------------------------------------------------------- high-precision oracle
+
+MP_CASES = [
+    ((0.8 + 0j,), 0.3, 12),
+    ((0.5 + 0j, 0.3j), 1.1, 10),
+    ((0.4 + 0.2j, 0.4 + 0.2j, -0.7 + 0j), -0.4, 8),
+]
+
+
+@pytest.mark.parametrize("zeros,phase,degree", MP_CASES)
+def test_layers_and_b_norm_match_mp_oracle(zeros, phase, degree):
+    b = bl.BlaschkeProduct(zeros, phase)
+    f = random_series(np.random.default_rng(degree), degree)
+    co = bl.decompose(f, b)
+    k_used = co.depth_used
+    oracle = MpLayerOracle(b, degree, co.layers[0].truncation_degree)
+    c = oracle.coords(f, k_used)
+    f_norm = float(np.linalg.norm(f.coeffs))
+    for k in range(k_used):
+        gap = np.linalg.norm(co.layers[k].coeffs - oracle.layer(c[k]))
+        assert gap <= 1e-11 * f_norm, k
+    with mpmath.workdps(MpLayerOracle.DPS):
+        f_sq = sum(abs(mpmath.mpc(x.real, x.imag)) ** 2 for x in f.coeffs)
+        tail = f_sq - sum(abs(x) ** 2 for row in c for x in row)
+        # the mass the layers leave behind is the reported residual
+        assert abs(float(mpmath.sqrt(max(tail, 0))) - co.residual_norm) <= 1e-11 * f_norm
+        for alpha in (-1.0, -0.3, 0.0, 0.8):
+            exact = float(
+                mpmath.sqrt(sum((k + 1) ** alpha * sum(abs(x) ** 2 for x in c[k]) for k in range(k_used)))
+            )
+            # layers are reported at the guarded degree and lose the basis tail there
+            tol = oracle.truncation_loss + 1e-12
+            assert abs(bl.b_norm(f, b, alpha) - exact) <= tol * exact, alpha
+
+
+@pytest.mark.parametrize("zeros,phase,degree", MP_CASES)
+def test_badic_gram_matches_mp_oracle(zeros, phase, degree):
+    b = bl.BlaschkeProduct(zeros, phase)
+    weights = bl.PowerLawWeights(-0.5)
+    depth = bl.default_depth(degree, b)
+    counts = [
+        bl.decompose(bl.ComplexSeries.monomial(j, 1.0, degree), b, depth).depth_used
+        for j in range(degree + 1)
+    ]
+    expected = MpLayerOracle(b, degree, degree).gram(weights.values(max(counts)), counts)
+    g = bl.BAdicInnerProduct(b, weights, depth).gram(degree)
+    assert np.max(np.abs(g - expected)) <= 1e-12
+
+
+# --------------------------------------------------------- random zeros
+
+ZERO = st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 2.0 * np.pi)).map(lambda p: p[0] * np.exp(1j * p[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zeros=st.lists(ZERO, min_size=1, max_size=3),
+    phase=st.floats(-np.pi, np.pi),
+    degree=st.integers(0, 24),
+    alpha=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recursion_properties_random_zeros(zeros, phase, degree, alpha, seed):
+    b = bl.BlaschkeProduct(tuple(zeros), phase)
+    f = random_series(np.random.default_rng(seed), degree)
+    f_sq = float(np.vdot(f.coeffs, f.coeffs).real)
+    co = bl.decompose(f, b)
+
+    rebuilt = bl.reconstruct(co, degree).coeffs
+    assert np.linalg.norm(rebuilt - f.coeffs) <= 1e-7 * np.sqrt(f_sq)
+
+    # Parseval over the layers, short by at most what the truncated TM
+    # elements lose beyond the reported width
+    basis = bl.tm_basis(b, co.layers[0].truncation_degree).matrix()
+    loss = float(np.sum(1.0 - np.sum(np.abs(basis) ** 2, axis=0)))
+    shortfall = f_sq - float(np.sum(co.layer_h2_norms() ** 2))
+    assert -1e-10 * f_sq <= shortfall <= (1e-10 + loss) * f_sq
+
+    # the batched Gram and the per-series decomposition are one recursion
+    weights = bl.PowerLawWeights(alpha)
+    g = bl.BAdicInnerProduct(b, weights, bl.default_depth(degree, b)).gram(degree)
+    quad = float(np.real(np.vdot(f.coeffs, g @ f.coeffs)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bl.RegimeWarning)
+        direct = bl.layer_inner_product(f, f, b, weights).real
+    assert abs(quad - direct) <= (1e-8 + loss) * quad

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blaschkelab
@@ -329,6 +330,18 @@ def test_operator_check_inner_function_isometry(capsys):
     )
     assert code == 0
     assert payload["min_eig"] >= -1e-9
+
+
+def test_solver_failure_is_internal_error_not_usage(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it must still exit 1, not 64
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, out, err = run_cli(["operator-check", "--k", "2", "--alpha", "-0.5", "--N", "8"], capsys)
+    assert code == cli.EXIT_FAILURE == 1
+    assert out == ""
+    assert "did not converge" in err
 
 
 def test_operator_check_requires_exactly_one_operator(capsys):

@@ -74,6 +74,16 @@ def test_badic_gram_agrees_with_direct_pairing():
         assert abs(direct - via_gram) <= 1e-8 * max(abs(direct), 1.0)
 
 
+def test_badic_gram_rejects_short_depth_and_constant_b():
+    b = bl.BlaschkeProduct((0.5 + 0j,))
+    with pytest.raises(bl.DepthExhausted) as exc:
+        bl.BAdicInnerProduct(b, bl.PowerLawWeights(-1.0), 3).gram(8)
+    assert exc.value.partial.depth_used == 3
+    assert exc.value.residual_norm > 1e-9
+    with pytest.raises(ValueError):
+        bl.BAdicInnerProduct(bl.BlaschkeProduct((), 0.3), bl.PowerLawWeights(-1.0), 5).gram(4)
+
+
 def test_gram_positive_definite():
     for ip in (BERGMAN, bl.ShiftedInnerProduct(2, -0.5),
                bl.BAdicInnerProduct(bl.BlaschkeProduct((0.5 + 0j,)), bl.PowerLawWeights(-1.0), 120)):
