@@ -27,7 +27,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -222,25 +221,20 @@ def cmd_scan(parser, args) -> int:
     if args.alpha_steps < 1:
         parser.error("--alpha-steps must be positive")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    points = []
+    rows = []
     for k in range(1, args.k + 1):
         s0 = k if args.s0 == "k" else int(args.s0)
-        for alpha in alphas:
-            points.append((float(alpha), k, s0))
-
-    def job(point):
-        alpha, k, s0 = point
-        report = shimorin.weight_criterion(PowerLawWeights(alpha), k, s0, args.nmax)
-        return {
-            "alpha": alpha,
-            "k": k,
-            "s0": s0,
-            "holds": report.holds,
-            "first_violation_index": report.first_violation_index(),
-        }
-
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        rows = list(pool.map(job, points))
+        for alpha in map(float, alphas):
+            report = shimorin.weight_criterion(PowerLawWeights(alpha), k, s0, args.nmax)
+            rows.append(
+                {
+                    "alpha": alpha,
+                    "k": k,
+                    "s0": s0,
+                    "holds": report.holds,
+                    "first_violation_index": report.first_violation_index(),
+                }
+            )
 
     config = {
         "subcommand": "scan",

@@ -12,8 +12,10 @@ a configurable inner product:
 
 ``span_invariant`` builds the truncated B-invariant subspace generated by a
 list of series: the orbit candidates B^j g are kept while
-j * degree(B) + order(g) <= N and orthonormalized by modified Gram-Schmidt
-with reorthogonalization.  ``wandering_part`` computes M ominus B M inside
+j * degree(B) + order(g) <= N and orthonormalized in order by classical
+Gram-Schmidt with reorthogonalization on whitened columns (G = L L^H), a
+candidate being dropped when its residual is at most RANK_TOL times the
+largest candidate ip-norm.  ``wandering_part`` computes M ominus B M inside
 the guard band of degrees <= N - degree(B).  ``wsp_defect`` regenerates an
 invariant subspace from its wandering part and reports the largest
 principal-angle sine between M restricted to degrees <= N_compare and the
@@ -60,7 +62,8 @@ __all__ = [
     "wsp_report",
 ]
 
-# Relative drop threshold for Gram-Schmidt rank decisions.
+# Gram-Schmidt drops a candidate whose residual is at most RANK_TOL times the
+# largest candidate ip-norm.
 RANK_TOL = 1e-10
 
 # Relative singular-value threshold for nullspace extraction.
@@ -157,34 +160,30 @@ class SubspaceBasis:
         return [ComplexSeries(self.columns[:, j]) for j in range(self.dimension)]
 
 
-def _ip_norm(v: np.ndarray, g: np.ndarray) -> float:
-    return float(np.sqrt(max(np.real(np.vdot(v, g @ v)), 0.0)))
-
-
 def _orthonormalize(candidates: list, g: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+    """Classical Gram-Schmidt with one reorthogonalization pass, on whitened columns.
 
-    Candidates whose residual norm falls below RANK_TOL times the largest
-    candidate norm are dropped as dependent.
+    With G = L L^H, the ip-inner product of coefficient vectors is the
+    Euclidean one of their images under L^H.  Candidates are taken in order
+    in those coordinates; one whose residual is at most RANK_TOL times the
+    largest candidate ip-norm is dropped as dependent.  The kept directions
+    are mapped back by one solve with the triangular factor L^H.
     """
-    n = g.shape[0]
-    if not candidates:
-        return np.zeros((n, 0), dtype=complex)
-    ref = max(_ip_norm(v, g) for v in candidates)
-    if ref <= 0.0:
-        return np.zeros((n, 0), dtype=complex)
-    kept: list = []
-    for v in candidates:
-        w = v.astype(complex).copy()
+    lh = np.linalg.cholesky(g).conj().T
+    x = lh @ np.column_stack(candidates)
+    cutoff = RANK_TOL * np.max(np.linalg.norm(x, axis=0))
+    q = np.zeros_like(x)
+    kept = 0
+    for v in x.T:
         for _ in range(2):
-            for q in kept:
-                w -= q * np.vdot(q, g @ w)
-        nrm = _ip_norm(w, g)
-        if nrm > RANK_TOL * ref:
-            kept.append(w / nrm)
-    if not kept:
-        return np.zeros((n, 0), dtype=complex)
-    return np.column_stack(kept)
+            v = v - q[:, :kept] @ (q[:, :kept].conj().T @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > cutoff:
+            q[:, kept] = v / nrm
+            kept += 1
+    # numpy's LAPACK, not scipy.linalg.solve_triangular: scipy wheels bundle a
+    # second OpenBLAS whose spinning threads slow the numpy BLAS calls after it
+    return np.linalg.solve(lh, q[:, :kept])
 
 
 def _nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
@@ -270,8 +269,6 @@ def wandering_part(m: SubspaceBasis, b: BlaschkeProduct) -> SubspaceBasis:
         raise ValueError("ambient degree below degree(B)")
     g = m.ip.gram(n)
     restricted = restrict_to_degree(m, n - b.degree)
-    if restricted.dimension == 0:
-        return SubspaceBasis(np.zeros((n + 1, 0), dtype=complex), n, m.ip)
     bm = multiplication_matrix(b, n, n) @ m.columns
     cross = bm.conj().T @ (g @ restricted.columns)
     d = _nullspace(cross)
@@ -311,6 +308,31 @@ class WspReport:
     compare_degree: int
 
 
+def _regeneration_report(
+    generators: list,
+    b: BlaschkeProduct,
+    b_wandering: BlaschkeProduct,
+    ip: InnerProduct,
+    degree: int,
+    compare_degree: int,
+) -> WspReport:
+    """Span M under B, take M ominus b_wandering M, regenerate it under B."""
+    m = span_invariant(generators, b, ip, degree)
+    w = wandering_part(m, b_wandering)
+    if w.dimension == 0:
+        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, ip)
+    else:
+        regenerated = span_invariant(w.series(), b, ip, degree)
+    return WspReport(
+        defect=subspace_defect(m, regenerated, compare_degree),
+        dim_invariant=m.dimension,
+        dim_wandering=w.dimension,
+        dim_regenerated=regenerated.dimension,
+        ambient_degree=degree,
+        compare_degree=compare_degree,
+    )
+
+
 def wsp_report(
     generators: list,
     b: BlaschkeProduct,
@@ -331,21 +353,7 @@ def wsp_report(
             f"compare_degree {compare_degree} too close to the truncation; "
             f"need <= {degree - 2 * b.degree - guard}"
         )
-    m = span_invariant(generators, b, ip, degree)
-    w = wandering_part(m, b)
-    if w.dimension == 0:
-        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, ip)
-    else:
-        regenerated = span_invariant(w.series(), b, ip, degree)
-    defect = subspace_defect(m, regenerated, compare_degree)
-    return WspReport(
-        defect=defect,
-        dim_invariant=m.dimension,
-        dim_wandering=w.dimension,
-        dim_regenerated=regenerated.dimension,
-        ambient_degree=degree,
-        compare_degree=compare_degree,
-    )
+    return _regeneration_report(generators, b, b, ip, degree, compare_degree)
 
 
 def wsp_defect(
@@ -413,10 +421,4 @@ def two_step_wandering_defect(
     ip = TaylorInnerProduct(PowerLawWeights(alpha))
     b_k = BlaschkeProduct((0j,) * k)
     b_2k = BlaschkeProduct((0j,) * (2 * k))
-    m = span_invariant(generators, b_k, ip, degree)
-    w = wandering_part(m, b_2k)
-    if w.dimension == 0:
-        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, ip)
-    else:
-        regenerated = span_invariant(w.series(), b_k, ip, degree)
-    return subspace_defect(m, regenerated, compare_degree)
+    return _regeneration_report(generators, b_k, b_2k, ip, degree, compare_degree).defect

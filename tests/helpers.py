@@ -171,3 +171,40 @@ class MpLayerOracle:
                     out[i, j] = complex(total)
                     out[j, i] = complex(mpmath.conj(total))
         return out
+
+
+# Reference orthonormalization: the modified Gram-Schmidt loop that
+# ``subspaces._orthonormalize`` used before it moved to whitened columns,
+# kept verbatim (ip-norm via the dense Gram, one reorthogonalization pass,
+# the same in-order drop rule) as an oracle for the kept count and span.
+RANK_TOL = bl.subspaces.RANK_TOL
+
+
+def _ip_norm(v: np.ndarray, g: np.ndarray) -> float:
+    return float(np.sqrt(max(np.real(np.vdot(v, g @ v)), 0.0)))
+
+
+def reference_orthonormalize(candidates: list, g: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one reorthogonalization pass.
+
+    Candidates whose residual norm falls below RANK_TOL times the largest
+    candidate norm are dropped as dependent.
+    """
+    n = g.shape[0]
+    if not candidates:
+        return np.zeros((n, 0), dtype=complex)
+    ref = max(_ip_norm(v, g) for v in candidates)
+    if ref <= 0.0:
+        return np.zeros((n, 0), dtype=complex)
+    kept: list = []
+    for v in candidates:
+        w = v.astype(complex).copy()
+        for _ in range(2):
+            for q in kept:
+                w -= q * np.vdot(q, g @ w)
+        nrm = _ip_norm(w, g)
+        if nrm > RANK_TOL * ref:
+            kept.append(w / nrm)
+    if not kept:
+        return np.zeros((n, 0), dtype=complex)
+    return np.column_stack(kept)

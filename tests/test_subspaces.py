@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blaschkelab as bl
 
-from helpers import random_series, seeded_generator
+from helpers import RANK_TOL, random_series, reference_orthonormalize, seeded_generator
 
 
 Z = bl.BlaschkeProduct((0j,))
@@ -129,6 +129,87 @@ def test_span_drops_dependent_generators():
     m1 = bl.span_invariant([g], Z2, BERGMAN, 15)
     m2 = bl.span_invariant([g, bl.scale(g, 2.0)], Z2, BERGMAN, 15)
     assert m1.dimension == m2.dimension
+
+
+def test_more_candidates_than_dimensions_fill_space():
+    # 130 orbit candidates in 65 dimensions: the greedy in-order rule keeps
+    # the first 65 independent ones (an unpivoted QR thresholded on its
+    # diagonal keeps only a handful)
+    gens = [bl.ComplexSeries([1.0, -0.4]), bl.ComplexSeries([2.0, 0.3, 0.1])]
+    m = bl.span_invariant(gens, Z, bl.ShiftedInnerProduct(1, -0.5), 64)
+    assert m.dimension == 65
+
+
+def test_outer_generator_fills_space_under_badic():
+    # 1 - 0.5 z is outer and B a disc automorphism, so M is the whole
+    # truncated space and regenerates from one wandering direction (a
+    # whitened SVD or pivoted QR at RANK_TOL drops two directions here)
+    b = bl.BlaschkeProduct((0.5 + 0j,))
+    ip = bl.BAdicInnerProduct(b, bl.PowerLawWeights(-0.5), bl.default_depth(28, b))
+    rep = bl.wsp_report([bl.ComplexSeries([1.0, -0.5])], b, ip, 28, 14)
+    assert (rep.dim_invariant, rep.dim_wandering, rep.dim_regenerated) == (29, 1, 29)
+    assert rep.defect <= 1e-9
+
+
+def _whitened_residuals(candidates, g):
+    """Ip-distance of each candidate from the span of the ones before it,
+    over the largest candidate ip-norm, by least squares in eigen-whitened
+    coordinates (no Gram-Schmidt step shared with either routine)."""
+    e, v = np.linalg.eigh(g)
+    x = (v * np.sqrt(e)).conj().T @ np.column_stack(candidates)
+    res = [np.linalg.norm(x[:, 0])]
+    for j in range(1, x.shape[1]):
+        coef = np.linalg.lstsq(x[:, :j], x[:, j], rcond=None)[0]
+        res.append(np.linalg.norm(x[:, j] - x[:, :j] @ coef))
+    return np.array(res) / np.max(np.linalg.norm(x, axis=0))
+
+
+def _oracle_gram(kind, degree, alpha, rng):
+    if kind == "taylor":
+        return bl.TaylorInnerProduct(bl.PowerLawWeights(alpha)).gram(degree)
+    if kind == "shifted":
+        return bl.ShiftedInnerProduct(int(rng.integers(0, 4)), alpha).gram(degree)
+    n_zeros = int(rng.integers(1, 3))
+    zeros = rng.uniform(0.0, 0.7, n_zeros) * np.exp(2j * np.pi * rng.uniform(size=n_zeros))
+    b = bl.BlaschkeProduct(tuple(complex(z) for z in zeros))
+    return bl.BAdicInnerProduct(b, bl.PowerLawWeights(alpha), bl.default_depth(degree, b)).gram(degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["taylor", "shifted", "badic"]),
+    degree=st.integers(4, 20),
+    alpha=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_orthonormalize_matches_reference(kind, degree, alpha, seed, data):
+    rng = np.random.default_rng(seed)
+    g = _oracle_gram(kind, degree, alpha, rng)
+    count = data.draw(st.integers((degree + 1) // 2, 2 * degree), label="count")
+    candidates = []
+    for _ in range(count):
+        pick = rng.uniform() if candidates else 0.0
+        if pick < 0.6:
+            v = random_series(rng, degree).coeffs * 10.0 ** rng.uniform(-2.0, 2.0)
+        elif pick < 0.8:
+            v = candidates[int(rng.integers(len(candidates)))].copy()
+        else:
+            idx = rng.integers(len(candidates), size=int(rng.integers(2, 4)))
+            v = sum((rng.normal() + 1j * rng.normal()) * candidates[i] for i in idx)
+        candidates.append(v)
+    # keep rounding out of the decision: no residual near the threshold
+    rel = _whitened_residuals(candidates, g)
+    assume(not np.any((rel > RANK_TOL / 100.0) & (rel < 1e-6)))
+
+    ref = reference_orthonormalize(candidates, g)
+    q = bl.subspaces._orthonormalize(candidates, g)
+    assert q.shape == ref.shape
+    assert np.linalg.norm(q.conj().T @ g @ q - np.eye(q.shape[1]), 2) <= 1e-12
+    # largest principal-angle sine between the two spans
+    u = ref - q @ (q.conj().T @ (g @ ref))
+    h = u.conj().T @ g @ u
+    assert np.sqrt(max(np.max(np.linalg.eigvalsh((h + h.conj().T) / 2.0)), 0.0)) <= 1e-8
 
 
 def test_restrict_to_degree():
