@@ -20,7 +20,6 @@ from .badic import (
     b_norm,
     decompose,
     default_depth,
-    layer_inner_product,
     norm_equivalence_estimate,
     reconstruct,
 )
@@ -34,14 +33,11 @@ from .blaschke import (
 from .model_space import ModelSpaceBasis, guard_degree, project, tm_basis
 from .series import (
     ComplexSeries,
-    DegenerateDivisor,
-    DivisionOrderMismatch,
     ExplicitWeights,
     PowerLawWeights,
     ShiftedWeights,
     WeightSequence,
     add,
-    div,
     format_series_literal,
     h2_norm,
     inner_product,
@@ -96,10 +92,8 @@ __all__ = [
     "ComplexSeries",
     "CriterionReport",
     "DegenerateDenominator",
-    "DegenerateDivisor",
     "DepthExhausted",
     "DimensionMismatch",
-    "DivisionOrderMismatch",
     "EmptySpan",
     "EmptyWindow",
     "ExplicitWeights",
@@ -122,14 +116,12 @@ __all__ = [
     "concavity_criterion",
     "decompose",
     "default_depth",
-    "div",
     "format_blaschke_literal",
     "format_series_literal",
     "guard_degree",
     "h2_norm",
     "head_weight_window",
     "inner_product",
-    "layer_inner_product",
     "monomial_threshold",
     "mul",
     "multiplication_matrix",

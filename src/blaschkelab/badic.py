@@ -15,10 +15,12 @@ and no division or special case for B = z^d is involved.
 
 The layers give equivalent norms on the weighted Dirichlet-type scale:
 ``b_norm`` is sqrt(sum_k (k+1)^alpha ||h_k||_{H^2}^2), which for B = z is
-exactly the diagonal (n+1)^alpha norm.
+exactly the diagonal (n+1)^alpha norm.  The TM basis is orthonormal, so
+every norm is read from the exact coordinates: ||h_k||_{H^2} = ||c_k||.
 
 Layers are reported at the guarded working degree from
-:func:`blaschkelab.model_space.guard_degree`.  The loop stops after
+:func:`blaschkelab.model_space.guard_degree`, which sizes only the printed
+layers and :func:`reconstruct`, never a norm.  The loop stops after
 ``depth`` layers or once the residual norm falls to ``residual_tol``.  A
 residual still above tolerance at depth raises :class:`DepthExhausted`,
 which carries the partial result.
@@ -38,7 +40,6 @@ from .series import (
     DEFAULT_RESIDUAL_TOL,
     ComplexSeries,
     PowerLawWeights,
-    WeightSequence,
 )
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "b_norm",
     "decompose",
     "default_depth",
-    "layer_inner_product",
     "norm_equivalence_estimate",
     "reconstruct",
 ]
@@ -77,19 +77,24 @@ class DepthExhausted(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BAdicCoefficients:
-    """Layers (h_0, ..., h_m) of a truncated series with respect to B."""
+    """Layers (h_0, ..., h_m) of a truncated series with respect to B.
+
+    Row k of ``coords``, shape (m + 1, degree(B)), holds the exact TM
+    coordinates c_k of h_k; ``layers`` holds h_k at the guarded degree.
+    """
 
     blaschke: BlaschkeProduct
     layers: tuple
     source_degree: int
     residual_norm: float
+    coords: np.ndarray
 
     @property
     def depth_used(self) -> int:
         return len(self.layers)
 
     def layer_h2_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(h.coeffs)) for h in self.layers])
+        return np.linalg.norm(self.coords, axis=1)
 
 
 def default_depth(
@@ -152,7 +157,8 @@ def _peel(sources: np.ndarray, b: BlaschkeProduct, depth: int, residual_tol: flo
     stuck = np.flatnonzero(residual > residual_tol)
     if stuck.size:
         j = stuck[0]
-        partial = BAdicCoefficients(b, _layers(basis, coords[:, :, j]), n, float(residual[j]))
+        c = coords[:, :, j].copy()
+        partial = BAdicCoefficients(b, _layers(basis, c), n, float(residual[j]), c)
         raise DepthExhausted(
             f"residual norm {residual[j]:.3e} above tolerance {residual_tol:.1e} after {depth} layers",
             partial,
@@ -183,7 +189,8 @@ def decompose(
     if depth < 1:
         raise ValueError("depth must be positive")
     basis, coords, residual = _peel(f.coeffs[:, None], b, depth, rt)
-    return BAdicCoefficients(b, _layers(basis, coords[:, :, 0]), f.truncation_degree, float(residual[0]))
+    c = coords[:, :, 0]
+    return BAdicCoefficients(b, _layers(basis, c), f.truncation_degree, float(residual[0]), c)
 
 
 def reconstruct(coefficients: BAdicCoefficients, degree: int) -> ComplexSeries:
@@ -226,32 +233,10 @@ def b_norm(
 
 
 def _layer_norm(coefficients: BAdicCoefficients, alpha: float) -> float:
-    """sqrt(sum_k (k+1)^alpha ||h_k||_{H^2}^2) of computed layers."""
+    """sqrt(sum_k (k+1)^alpha ||c_k||^2) of computed layers."""
     norms = coefficients.layer_h2_norms()
     k = np.arange(1.0, norms.size + 1.0)
     return float(np.sqrt(np.sum(k**alpha * norms**2)))
-
-
-def layer_inner_product(
-    f: ComplexSeries,
-    g: ComplexSeries,
-    b: BlaschkeProduct,
-    weights: WeightSequence,
-    depth: int | None = None,
-) -> complex:
-    """sum_k weights(k) <h_k(f), h_k(g)>_{H^2}; missing layers count as zero."""
-    if isinstance(weights, PowerLawWeights):
-        _check_regime(weights.alpha)
-    cf = decompose(f, b, depth)
-    cg = decompose(g, b, depth)
-    n = min(len(cf.layers), len(cg.layers))
-    if n == 0:
-        return 0j
-    w = weights.values(n)
-    total = 0j
-    for k in range(n):
-        total += w[k] * np.vdot(cg.layers[k].coeffs, cf.layers[k].coeffs)
-    return complex(total)
 
 
 def norm_equivalence_estimate(

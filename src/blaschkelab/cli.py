@@ -64,6 +64,11 @@ PURITY_NOTE = (
 )
 
 
+# Largest output pad operator-check assembles; zeros of modulus above about
+# 0.9914 need more and are refused rather than silently truncated.
+_MAX_PAD = 4000
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the scriptable usage exit code."""
 
@@ -498,7 +503,13 @@ def cmd_operator_check(parser, args) -> int:
     if rho > 0.0:
         # Rational B has an infinite Taylor tail; pad the output space so the
         # truncated multiplication matrix loses at most ~1e-15 of the norm.
-        out_degree += min(int(math.ceil(math.log(1e-15) / math.log(rho))), 4000)
+        pad = int(math.ceil(math.log(1e-15) / math.log(rho)))
+        if pad > _MAX_PAD:
+            raise ValueError(
+                f"a zero of modulus {rho:.12g} needs an output pad of {pad} degrees "
+                f"to keep the lost tail below 1e-15; the limit is {_MAX_PAD}"
+            )
+        out_degree += pad
     matrix = multiplication_matrix(b, args.N, out_degree)
     gram = weights.values(out_degree + 1)
     result = shimorin.operator_check(matrix, gram, args.N)

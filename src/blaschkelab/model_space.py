@@ -7,10 +7,11 @@ has dimension d and carries the classical rational orthonormal basis
              * prod_{i<j} (z - a_i) / (1 - conj(a_i) z),
 
 the Takenaka-Malmquist system of the zero list.  Everything here is stored
-truncated; basis tails decay like max |a_i|^n, so computations carry a guard
-of ``4 * degree(B) + 32`` extra degrees to keep truncated Gram matrices close
-to the identity (about 1e-8 for |a_i| <= 0.8; zeros of larger modulus need a
-larger working degree, chosen by the caller).
+truncated; basis tails decay like max |a_i|^n.  ``guard_degree`` adds
+``4 * degree(B) + 32`` degrees to the layers that badic prints and
+reconstructs, where each element loses |a|^(2(W+1)) of its mass at width W
+(6.6e-8 for |a| = 0.8 at N = 0).  No norm uses it: layer norms and the
+B-adic Gram read exact TM coordinates from the coefficients 0..N.
 """
 
 from __future__ import annotations

@@ -11,20 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 __all__ = [
     "DEFAULT_ORDER_TOL",
     "DEFAULT_RESIDUAL_TOL",
     "ComplexSeries",
-    "DegenerateDivisor",
-    "DivisionOrderMismatch",
     "ExplicitWeights",
     "PowerLawWeights",
     "ShiftedWeights",
     "WeightSequence",
     "add",
-    "div",
     "format_series_literal",
     "h2_norm",
     "inner_product",
@@ -36,18 +32,12 @@ __all__ = [
     "weighted_norm",
 ]
 
-# Numerical-zero thresholds.  Both can be overridden per call; reassigning
-# the module attributes changes the defaults globally.
+# Numerical-zero thresholds: DEFAULT_ORDER_TOL for BlaschkeProduct.order_at_zero,
+# DEFAULT_RESIDUAL_TOL for the stopping residual of the layer recursion.  Both
+# can be overridden per call; the callers bind them at import, so reassigning
+# the module attributes does not change their defaults.
 DEFAULT_ORDER_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-9
-
-
-class DivisionOrderMismatch(ArithmeticError):
-    """The dividend does not vanish to the divisor's order at z = 0."""
-
-
-class DegenerateDivisor(ArithmeticError):
-    """The divisor is numerically zero through its whole truncation."""
 
 
 class ComplexSeries:
@@ -168,62 +158,6 @@ def mul(f: ComplexSeries, g: ComplexSeries, degree: int) -> ComplexSeries:
     n = min(degree + 1, conv.size)
     out[:n] = conv[:n]
     return ComplexSeries(out)
-
-
-def _divide_coeffs(
-    f: np.ndarray,
-    g: np.ndarray,
-    degree: int,
-    order_tol: float,
-    residual_tol: float,
-) -> np.ndarray:
-    """Deconvolution core of div() on raw coefficient arrays."""
-    gm = np.abs(g)
-    nz = np.nonzero(gm > order_tol)[0]
-    if nz.size == 0:
-        raise DegenerateDivisor("divisor is numerically zero")
-    m = int(nz[0])
-    if np.any(np.abs(f[:m]) > residual_tol):
-        bad = int(np.argmax(np.abs(f[:m]) > residual_tol))
-        raise DivisionOrderMismatch(
-            f"dividend coefficient {bad} has modulus {abs(f[bad]):.3e} "
-            f"but the divisor vanishes to order {m}"
-        )
-    fs = np.zeros(degree + 1, dtype=complex)
-    take = min(degree + 1, f.size - m)
-    if take > 0:
-        fs[:take] = f[m : m + take]
-    gs = np.zeros(degree + 1, dtype=complex)
-    take = min(degree + 1, g.size - m)
-    gs[:take] = g[m : m + take]
-    if degree == 0:
-        return fs / gs[0]
-    # Lower-triangular Toeplitz solve == the usual deconvolution recursion.
-    row = np.zeros(degree + 1, dtype=complex)
-    row[0] = gs[0]
-    return solve_toeplitz((gs, row), fs)
-
-
-def div(
-    f: ComplexSeries,
-    g: ComplexSeries,
-    degree: int,
-    order_tol: float | None = None,
-    residual_tol: float | None = None,
-) -> ComplexSeries:
-    """Quotient q with f = q * g through degree ``degree`` + order(g at 0).
-
-    The divisor's order m at 0 is read off numerically (first coefficient
-    with modulus above ``order_tol``); the dividend must vanish to the same
-    order within ``residual_tol``.  The quotient is the index shift by m
-    followed by deconvolution against a series with nonzero constant term.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    ot = DEFAULT_ORDER_TOL if order_tol is None else order_tol
-    rt = DEFAULT_RESIDUAL_TOL if residual_tol is None else residual_tol
-    q = _divide_coeffs(f.coeffs, g.coeffs, degree, ot, rt)
-    return ComplexSeries(q)
 
 
 class WeightSequence:

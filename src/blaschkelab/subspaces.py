@@ -15,12 +15,13 @@ list of series: the orbit candidates B^j g are kept while
 j * degree(B) + order(g) <= N and orthonormalized in order by classical
 Gram-Schmidt with reorthogonalization on whitened columns (G = L L^H), a
 candidate being dropped when its residual is at most RANK_TOL times the
-largest candidate ip-norm.  ``wandering_part`` computes M ominus B M inside
-the guard band of degrees <= N - degree(B).  ``wsp_defect`` regenerates an
-invariant subspace from its wandering part and reports the largest
-principal-angle sine between M restricted to degrees <= N_compare and the
-regenerated span: the worst ip-distance from a unit vector of the restricted
-M to the regenerated subspace.
+largest candidate ip-norm.  The basis keeps that Gram matrix as
+``SubspaceBasis.gram`` for everything derived from it.  ``wandering_part``
+computes M ominus B M inside the guard band of degrees <= N - degree(B).
+``wsp_defect`` regenerates an invariant subspace from its wandering part and
+reports the largest principal-angle sine between M restricted to degrees
+<= N_compare and the regenerated span: the worst ip-distance from a unit
+vector of the restricted M to the regenerated subspace.
 
 A defect near zero supports the wandering subspace property at this
 truncation; a large defect only ever means "no convergence observed at this
@@ -146,11 +147,11 @@ class BAdicInnerProduct(InnerProduct):
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Orthonormal basis columns of a subspace of degree <= N polynomials."""
+    """Basis columns of a subspace of degree <= N polynomials, orthonormal in ``gram``."""
 
     columns: np.ndarray
     ambient_degree: int
-    ip: InnerProduct
+    gram: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -181,8 +182,6 @@ def _orthonormalize(candidates: list, g: np.ndarray) -> np.ndarray:
         if nrm > cutoff:
             q[:, kept] = v / nrm
             kept += 1
-    # numpy's LAPACK, not scipy.linalg.solve_triangular: scipy wheels bundle a
-    # second OpenBLAS whose spinning threads slow the numpy BLAS calls after it
     return np.linalg.solve(lh, q[:, :kept])
 
 
@@ -239,7 +238,7 @@ def span_invariant(
     cols = _orthonormalize(candidates, g)
     if cols.shape[1] == 0:
         raise EmptySpan("generators span nothing at this truncation")
-    return SubspaceBasis(cols, degree, ip)
+    return SubspaceBasis(cols, degree, g)
 
 
 def restrict_to_degree(m: SubspaceBasis, max_degree: int) -> SubspaceBasis:
@@ -254,7 +253,7 @@ def restrict_to_degree(m: SubspaceBasis, max_degree: int) -> SubspaceBasis:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     c0 = _nullspace(m.columns[max_degree + 1 :, :])
-    return SubspaceBasis(m.columns @ c0, n, m.ip)
+    return SubspaceBasis(m.columns @ c0, n, m.gram)
 
 
 def wandering_part(m: SubspaceBasis, b: BlaschkeProduct) -> SubspaceBasis:
@@ -267,12 +266,11 @@ def wandering_part(m: SubspaceBasis, b: BlaschkeProduct) -> SubspaceBasis:
     n = m.ambient_degree
     if b.degree > n:
         raise ValueError("ambient degree below degree(B)")
-    g = m.ip.gram(n)
     restricted = restrict_to_degree(m, n - b.degree)
     bm = multiplication_matrix(b, n, n) @ m.columns
-    cross = bm.conj().T @ (g @ restricted.columns)
+    cross = bm.conj().T @ (m.gram @ restricted.columns)
     d = _nullspace(cross)
-    return SubspaceBasis(restricted.columns @ d, n, m.ip)
+    return SubspaceBasis(restricted.columns @ d, n, m.gram)
 
 
 def subspace_defect(target: SubspaceBasis, cover: SubspaceBasis, compare_degree: int) -> float:
@@ -287,11 +285,10 @@ def subspace_defect(target: SubspaceBasis, cover: SubspaceBasis, compare_degree:
     restricted = restrict_to_degree(target, compare_degree)
     if restricted.dimension == 0:
         return 0.0
-    g = target.ip.gram(target.ambient_degree)
     u = restricted.columns
     if cover.dimension:
-        u = u - cover.columns @ (cover.columns.conj().T @ (g @ u))
-    h = u.conj().T @ (g @ u)
+        u = u - cover.columns @ (cover.columns.conj().T @ (target.gram @ u))
+    h = u.conj().T @ (target.gram @ u)
     top = float(np.max(np.linalg.eigvalsh((h + h.conj().T) / 2.0)))
     return float(np.sqrt(min(max(top, 0.0), 1.0)))
 
@@ -320,7 +317,7 @@ def _regeneration_report(
     m = span_invariant(generators, b, ip, degree)
     w = wandering_part(m, b_wandering)
     if w.dimension == 0:
-        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, ip)
+        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, m.gram)
     else:
         regenerated = span_invariant(w.series(), b, ip, degree)
     return WspReport(

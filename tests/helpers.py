@@ -125,8 +125,6 @@ class MpLayerOracle:
             self.basis = [e[: width + 1] for e in basis]
             self.b_taylor = [mpmath.expj(mpmath.mpf(b.phase)) * c for c in prefix[: degree + 1]]
             self._atoms = [[e[: degree + 1] for e in basis]]
-            # mass of each e_j beyond the width: what the truncated layers lose
-            self.truncation_loss = float(sum(1 - sum(abs(c) ** 2 for c in e) for e in self.basis))
 
     def _factor(self, a, n):
         geo = [mpmath.conj(a) ** m for m in range(n + 1)]

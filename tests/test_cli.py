@@ -344,6 +344,18 @@ def test_solver_failure_is_internal_error_not_usage(monkeypatch, capsys):
     assert "did not converge" in err
 
 
+def test_operator_check_refuses_pad_beyond_limit(capsys):
+    # |a| = 0.995 needs about 6900 pad degrees to keep the lost tail below 1e-15
+    args = ["operator-check", "--alpha", "-0.5", "--N", "8", "--blaschke"]
+    code, out, err = run_cli([*args, "zeros=0.995,0"], capsys)
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert "6891" in err and "4000" in err
+    code, payload = run_json([*args, "zeros=0.99,0"], capsys)
+    assert code in (0, 2)
+    assert np.isfinite(payload["min_eig"])
+
+
 def test_operator_check_requires_exactly_one_operator(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["operator-check", "--alpha", "0", "--N", "8"])
@@ -422,3 +434,13 @@ def test_module_main_matches_script():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["monomial_thresholds"][0]["k"] == 1
     assert proc.stdout == run_console_script(args).stdout
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, blaschkelab, blaschkelab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"

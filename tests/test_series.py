@@ -79,30 +79,6 @@ def test_mul_truncates():
     assert h.is_zero()
 
 
-def test_div_exact_round_trip():
-    rng = np.random.default_rng(11)
-    g = bl.ComplexSeries([1.0, -0.4, 0.2])
-    q = random_series(rng, 6)
-    f = bl.mul(g, q, 8)
-    back = bl.div(f, g, 8)
-    np.testing.assert_allclose(back.coeffs[:7], q.coeffs, atol=1e-12)
-
-
-def test_div_shifts_matching_orders():
-    # numerator order must dominate the divisor order
-    f = bl.ComplexSeries([0.0, 0.0, 1.0, 1.0])
-    g = bl.ComplexSeries([0.0, 1.0])
-    q = bl.div(f, g, 3)
-    np.testing.assert_allclose(q.coeffs[:2], [0.0, 1.0], atol=1e-14)
-    with pytest.raises(bl.DivisionOrderMismatch):
-        bl.div(g, f, 3)
-
-
-def test_div_zero_divisor():
-    with pytest.raises(bl.DegenerateDivisor):
-        bl.div(bl.ComplexSeries([1.0]), bl.ComplexSeries.zero(3), 3)
-
-
 def test_h2_norm_is_euclidean():
     f = bl.ComplexSeries([3.0, 4.0j])
     assert abs(bl.h2_norm(f) - 5.0) < 1e-15

@@ -69,7 +69,10 @@ def test_badic_gram_agrees_with_direct_pairing():
     for _ in range(4):
         f = random_series(rng, 16)
         h = random_series(rng, 16)
-        direct = bl.layer_inner_product(f, h, b, w, depth)
+        # polarization: <f, h> = (1/4) sum_k i^k ||f + i^k h||^2
+        direct = sum(
+            1j**k * bl.b_norm(bl.add(f, bl.scale(h, 1j**k)), b, -1.0, depth) ** 2 for k in range(4)
+        ) / 4
         via_gram = complex(np.conj(h.coeffs) @ (g @ f.coeffs))
         assert abs(direct - via_gram) <= 1e-8 * max(abs(direct), 1.0)
 
@@ -114,8 +117,7 @@ def test_monomial_orbit_dimension():
 def test_span_columns_orthonormal():
     g = bl.ComplexSeries([1.0, 0.7])
     m = bl.span_invariant([g], Z2, BERGMAN, 31)
-    gram = m.ip.gram(m.ambient_degree)
-    prods = m.columns.conj().T @ gram @ m.columns
+    prods = m.columns.conj().T @ m.gram @ m.columns
     np.testing.assert_allclose(prods, np.eye(m.dimension), atol=1e-9)
 
 
@@ -256,10 +258,9 @@ def test_wandering_orthogonal_to_shifted_space():
     g = seeded_generator(41)
     m = bl.span_invariant([g], Z2, BERGMAN, 40)
     w = bl.wandering_part(m, Z2)
-    gram = m.ip.gram(m.ambient_degree)
     t = bl.multiplication_matrix(Z2, m.ambient_degree - 2, m.ambient_degree)
     shifted = t @ m.columns[: m.ambient_degree - 1, :]
-    prods = w.columns.conj().T @ gram @ shifted
+    prods = w.columns.conj().T @ m.gram @ shifted
     assert np.max(np.abs(prods)) < 1e-8
 
 
@@ -279,6 +280,20 @@ def test_report_dims():
     assert rep.dim_regenerated == rep.dim_invariant
     assert rep.ambient_degree == 64
     assert rep.compare_degree == 40
+
+
+def test_wsp_report_builds_one_gram_per_span():
+    # M and the regenerated span build the Gram; W and the defect reuse M's
+    degrees = []
+
+    class Counting(bl.InnerProduct):
+        def gram(self, degree):
+            degrees.append(degree)
+            return BERGMAN.gram(degree)
+
+    rep = bl.wsp_report([bl.ComplexSeries([1.0, 0.7])], Z2, Counting(), 64, 40)
+    assert (rep.dim_invariant, rep.dim_wandering, rep.dim_regenerated) == (33, 1, 33)
+    assert degrees == [64, 64]
 
 
 def test_defect_bounded_by_one():
@@ -353,7 +368,7 @@ def test_defect_of_cover_equals_zero_for_self():
 
 def test_defect_against_empty_cover_is_one():
     m = bl.span_invariant([bl.ComplexSeries([1.0])], Z, HARDY, 20)
-    empty = bl.SubspaceBasis(np.zeros((21, 0), dtype=complex), 20, HARDY)
+    empty = bl.SubspaceBasis(np.zeros((21, 0), dtype=complex), 20, m.gram)
     assert bl.subspace_defect(m, empty, 10) == pytest.approx(1.0, abs=1e-12)
 
 
