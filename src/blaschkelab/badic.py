@@ -127,9 +127,9 @@ def default_depth(
 def _peel(sources: np.ndarray, b: BlaschkeProduct, depth: int, residual_tol: float) -> tuple:
     """TM coordinates of the layers of every column of ``sources``.
 
-    Each column holds the coefficients 0..N of one source.  Column by column
-    the recursion r_{k+1} = T_B^* r_k runs until the residual norm is at most
-    ``residual_tol``; a stopped column gets zero coordinates in later layers.
+    Each column holds the coefficients 0..N of one source.  The recursion
+    r_{k+1} = T_B^* r_k runs on all columns until every residual norm is at
+    most ``residual_tol``, so a Gram of the coordinates keeps every cross term.
     Returns ``(basis, coords, residual)``: the TM basis matrix at the guarded
     degree, coords[k] = basis[:N+1]^H r_k of shape (layers, degree(B),
     columns), and the norm of each column's last residual.  Raises
@@ -146,13 +146,11 @@ def _peel(sources: np.ndarray, b: BlaschkeProduct, depth: int, residual_tol: flo
     residual = np.linalg.norm(r, axis=0)
     coords = []
     for _ in range(depth):
-        live = residual > residual_tol
-        if not live.any():
+        if not np.any(residual > residual_tol):
             break
-        r = r * live
         coords.append(head @ r)
         r = adjoint @ r
-        residual = np.where(live, np.linalg.norm(r, axis=0), residual)
+        residual = np.linalg.norm(r, axis=0)
     coords = np.array(coords).reshape(len(coords), b.degree, sources.shape[1])
     stuck = np.flatnonzero(residual > residual_tol)
     if stuck.size:

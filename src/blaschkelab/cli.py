@@ -669,6 +669,8 @@ def _build_parser() -> _Parser:
 def main(argv: list | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "k", None) is not None and args.k < 1:
+        parser.error("--k must be positive")
     try:
         return args.func(parser, args)
     except badic.DepthExhausted as exc:

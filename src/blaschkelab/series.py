@@ -161,14 +161,11 @@ def mul(f: ComplexSeries, g: ComplexSeries, degree: int) -> ComplexSeries:
 
 
 class WeightSequence:
-    """Positive weights omega(n) defining a diagonal norm on coefficients."""
-
-    def __call__(self, n: int) -> float:
-        raise NotImplementedError
+    """Positive weights omega(n) defining a diagonal norm, evaluated only by ``values``."""
 
     def values(self, count: int) -> np.ndarray:
         """omega(0..count-1) as a float vector."""
-        return np.array([self(n) for n in range(count)], dtype=float)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -185,11 +182,6 @@ class PowerLawWeights(WeightSequence):
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
-    def __call__(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("negative index")
-        return float((n + 1) ** self.alpha)
-
     def values(self, count: int) -> np.ndarray:
         return np.arange(1.0, count + 1.0) ** self.alpha
 
@@ -204,11 +196,6 @@ class ShiftedWeights(WeightSequence):
     def __post_init__(self) -> None:
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
-
-    def __call__(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("negative index")
-        return self.inner(n + self.offset)
 
     def values(self, count: int) -> np.ndarray:
         return self.inner.values(count + self.offset)[self.offset :]
@@ -232,13 +219,6 @@ class ExplicitWeights(WeightSequence):
         if any(not np.isfinite(x) or x <= 0.0 for x in head):
             raise ValueError("head weights must be positive and finite")
         object.__setattr__(self, "head", head)
-
-    def __call__(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("negative index")
-        if n < len(self.head):
-            return self.head[n]
-        return self.tail(n)
 
     def values(self, count: int) -> np.ndarray:
         out = self.tail.values(count)

@@ -18,7 +18,7 @@ candidate being dropped when its residual is at most RANK_TOL times the
 largest candidate ip-norm.  The basis keeps that Gram matrix as
 ``SubspaceBasis.gram`` for everything derived from it.  ``wandering_part``
 computes M ominus B M inside the guard band of degrees <= N - degree(B).
-``wsp_defect`` regenerates an invariant subspace from its wandering part and
+``wsp_defect`` regenerates M from its wandering part inside M (one Gram) and
 reports the largest principal-angle sine between M restricted to degrees
 <= N_compare and the regenerated span: the worst ip-distance from a unit
 vector of the restricted M to the regenerated subspace.
@@ -122,8 +122,8 @@ class BAdicInnerProduct(InnerProduct):
     The Gram matrix on the monomial basis is built in one pass: the layer
     recursion of :mod:`blaschkelab.badic` runs on all monomials at once,
     giving the TM coordinates C_k of layer k for every monomial, and
-    G = sum_k weights(k) C_k^H C_k.  Each monomial stops at the default
-    residual tolerance, as its own decomposition would.  Size ``depth`` as
+    G = sum_k weights(k) C_k^H C_k.  All monomials run until the slowest
+    reaches the default residual tolerance, keeping every cross term.  Size ``depth`` as
     in :func:`blaschkelab.badic.default_depth`: zeros away from the origin
     spread degree-n data over about (n/degree(B)) * (1+rho)/(1-rho) layers
     (DepthExhausted propagates).
@@ -209,13 +209,17 @@ def span_invariant(
     of vanishing at 0; for B = z^k this reproduces the exact polynomial
     grading.  Raises EmptySpan when nothing survives.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    gens = []
-    for gen in generators:
-        if gen.is_zero():
-            continue
-        gens.append(gen.resized(degree))
+    candidates = _orbit(generators, b, degree)
+    g = ip.gram(degree)
+    cols = _orthonormalize(candidates, g)
+    if cols.shape[1] == 0:
+        raise EmptySpan("generators span nothing at this truncation")
+    return SubspaceBasis(cols, degree, g)
+
+
+def _orbit(generators: list, b: BlaschkeProduct, degree: int) -> list:
+    """Orbit candidates B^j g of the nonzero generators, in span_invariant's order."""
+    gens = [gen.resized(degree) for gen in generators if not gen.is_zero()]
     if not gens:
         raise EmptySpan("all generators are zero")
 
@@ -234,11 +238,7 @@ def span_invariant(
             if j < orbit_lengths[i]:
                 candidates.append(powers[i])
                 powers[i] = np.convolve(powers[i], b_t)[: degree + 1]
-    g = ip.gram(degree)
-    cols = _orthonormalize(candidates, g)
-    if cols.shape[1] == 0:
-        raise EmptySpan("generators span nothing at this truncation")
-    return SubspaceBasis(cols, degree, g)
+    return candidates
 
 
 def restrict_to_degree(m: SubspaceBasis, max_degree: int) -> SubspaceBasis:
@@ -313,13 +313,20 @@ def _regeneration_report(
     degree: int,
     compare_degree: int,
 ) -> WspReport:
-    """Span M under B, take M ominus b_wandering M, regenerate it under B."""
+    """Span M under B, take W = M ominus b_wandering M, regenerate W under B inside M.
+
+    W's orbit C enters in the coordinates Y = M^H G C of M's G-orthonormal basis, so
+    one Gram serves M, W and the regenerated span, which never outgrows M.  For zeros
+    off the origin the orbit can leave M at the truncation; projecting onto M only
+    lowers the defect, as ||u - P_M c|| <= ||u - c|| for u in M.
+    """
     m = span_invariant(generators, b, ip, degree)
     w = wandering_part(m, b_wandering)
-    if w.dimension == 0:
-        regenerated = SubspaceBasis(np.zeros((degree + 1, 0), dtype=complex), degree, m.gram)
-    else:
-        regenerated = span_invariant(w.series(), b, ip, degree)
+    q = np.zeros((m.dimension, 0), dtype=complex)
+    if w.dimension:
+        y = m.columns.conj().T @ (m.gram @ np.column_stack(_orbit(w.series(), b, degree)))
+        q = _orthonormalize(list(y.T), np.eye(m.dimension))
+    regenerated = SubspaceBasis(m.columns @ q, degree, m.gram)
     return WspReport(
         defect=subspace_defect(m, regenerated, compare_degree),
         dim_invariant=m.dimension,

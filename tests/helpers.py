@@ -97,6 +97,22 @@ def distinct_zeros(rng, count, lo=0.05, hi=0.6, min_sep=0.15):
             return zeros
 
 
+def stein_gram(b, degree):
+    """Solution X of X - A^H X A = I, A = T_B^* on degrees <= degree.
+
+    Summation by parts turns the alpha = 1 layer norm into
+    sum_k ||(T_B^*)^k f||^2, so X is the exact alpha = 1 layer Gram.  The
+    doubling X <- X + A_m^H X A_m, A_m <- A_m^2 sums the series in
+    log2(terms) products without the TM basis.
+    """
+    a = bl.multiplication_matrix(b, degree, degree).conj().T
+    x = np.eye(degree + 1, dtype=complex)
+    while np.linalg.norm(a) > 1e-18:
+        x = x + a.conj().T @ x @ a
+        a = a @ a
+    return x
+
+
 class MpLayerOracle:
     """Layer coordinates of B at 50 digits, independent of the float code.
 
@@ -156,15 +172,15 @@ class MpLayerOracle:
                 [complex(sum(c * e[n] for c, e in zip(c_k, self.basis))) for n in range(self.width + 1)]
             )
 
-    def gram(self, weights, layer_counts):
-        """sum_k w_k <z^j B-layers, z^i B-layers>, layer k kept while k < min(K_i, K_j)."""
+    def gram(self, weights, layers):
+        """sum_{k < layers} w_k <z^j B-layers, z^i B-layers>."""
         n = self.degree
         out = np.zeros((n + 1, n + 1), dtype=complex)
         with mpmath.workdps(self.DPS):
             for i in range(n + 1):
                 for j in range(i, n + 1):
                     total = mpmath.mpc(0)
-                    for k in range(min(layer_counts[i], layer_counts[j])):
+                    for k in range(layers):
                         total += weights[k] * sum(e[i] * mpmath.conj(e[j]) for e in self.atom(k))
                     out[i, j] = complex(total)
                     out[j, i] = complex(mpmath.conj(total))

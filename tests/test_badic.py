@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import blaschkelab as bl
 
-from helpers import MpLayerOracle, distinct_zeros, oracle_layer_gap, random_series
+from helpers import MpLayerOracle, distinct_zeros, oracle_layer_gap, random_series, stein_gram
 
 
 Z = bl.BlaschkeProduct((0j,))
@@ -218,13 +218,39 @@ def test_badic_gram_matches_mp_oracle(zeros, phase, degree):
     b = bl.BlaschkeProduct(zeros, phase)
     weights = bl.PowerLawWeights(-0.5)
     depth = bl.default_depth(degree, b)
-    counts = [
+    # every monomial runs until the slowest one converges
+    layers = max(
         bl.decompose(bl.ComplexSeries.monomial(j, 1.0, degree), b, depth).depth_used
         for j in range(degree + 1)
-    ]
-    expected = MpLayerOracle(b, degree, degree).gram(weights.values(max(counts)), counts)
+    )
+    expected = MpLayerOracle(b, degree, degree).gram(weights.values(layers), layers)
     g = bl.BAdicInnerProduct(b, weights, depth).gram(degree)
     assert np.max(np.abs(g - expected)) <= 1e-12
+
+
+# --------------------------------------------------------- exact Gram identities
+
+# Summation by parts gives sum_k w_k ||h_k||^2 = sum_k (w_k - w_{k-1}) ||r_k||^2
+# with r_k = (T_B^*)^k f: alpha = 0 is Parseval (G = I) and alpha = 1 is the
+# Stein solution, at any N and without the TM basis or mpmath.
+IDENTITY_CASES = [
+    ((0.5 + 0j, 0.3j), 0.0, 40),
+    ((0.4 + 0.2j, -0.6 + 0j, 0.7j), 0.5, 60),
+    ((0.95 + 0j,), 0.0, 64),
+    ((0.9 + 0j, -0.9 + 0j, 0.5j), 0.3, 96),
+    ((0.8 + 0j, 0.8 + 0j), 0.2, 128),
+]
+
+
+@pytest.mark.parametrize("zeros,phase,degree", IDENTITY_CASES)
+def test_badic_gram_meets_exact_identities(zeros, phase, degree):
+    b = bl.BlaschkeProduct(zeros, phase)
+    depth = bl.default_depth(degree, b)
+    hardy = bl.BAdicInnerProduct(b, bl.PowerLawWeights(0.0), depth).gram(degree)
+    assert np.max(np.abs(hardy - np.eye(degree + 1))) <= 1e-12
+    dirichlet = bl.BAdicInnerProduct(b, bl.PowerLawWeights(1.0), depth).gram(degree)
+    x = stein_gram(b, degree)
+    assert np.max(np.abs(dirichlet - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 # --------------------------------------------------------- random zeros
@@ -257,4 +283,4 @@ def test_recursion_properties_random_zeros(zeros, phase, degree, alpha, seed):
     weights = bl.PowerLawWeights(alpha)
     g = bl.BAdicInnerProduct(b, weights, bl.default_depth(degree, b)).gram(degree)
     quad = float(np.real(np.vdot(f.coeffs, g @ f.coeffs)))
-    assert abs(quad - bl.b_norm(f, b, alpha) ** 2) <= 1e-8 * quad
+    assert abs(quad - bl.b_norm(f, b, alpha) ** 2) <= 1e-12 * quad

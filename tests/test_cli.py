@@ -363,6 +363,26 @@ def test_operator_check_requires_exactly_one_operator(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["thresholds", "--k", "0"],
+        ["criterion", "--alpha", "-0.5", "--k", "0"],
+        ["scan", "--alpha-min", "-1", "--alpha-max", "0", "--k", "0"],
+        ["operator-check", "--alpha", "-1", "--N", "8", "--k", "0"],
+        ["operator-check", "--alpha", "-1", "--N", "8", "--k", "-2"],
+    ],
+)
+def test_nonpositive_k_is_usage_error(args, capsys):
+    # k = 0 would check B = 1 or scan nothing and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k must be positive" in captured.err
+
+
 # ---------------------------------------------------------------- plumbing
 
 

@@ -107,7 +107,7 @@ def test_inner_product_conjugate_symmetry():
 def test_power_law_weights_values():
     w = bl.PowerLawWeights(-1.0)
     np.testing.assert_allclose(w.values(4), [1.0, 0.5, 1.0 / 3.0, 0.25])
-    assert w(9) == pytest.approx(0.1)
+    assert w.values(10)[9] == pytest.approx(0.1)
 
 
 def test_shifted_weights_offset():
@@ -118,8 +118,8 @@ def test_shifted_weights_offset():
 def test_explicit_weights_head_then_tail():
     w = bl.ExplicitWeights((5.0, 6.0), bl.PowerLawWeights(0.0))
     np.testing.assert_allclose(w.values(4), [5.0, 6.0, 1.0, 1.0])
-    assert w(1) == 6.0
-    assert w(2) == 1.0
+    assert w.values(2)[1] == 6.0
+    assert w.values(3)[2] == 1.0
 
 
 def test_series_literal_round_trip():
@@ -141,7 +141,7 @@ def test_series_literal_examples():
 def test_weights_literal_forms():
     w = bl.parse_weights_literal("power:-0.5")
     assert isinstance(w, bl.PowerLawWeights)
-    assert w(0) == 1.0
+    assert w.values(1)[0] == 1.0
     w = bl.parse_weights_literal("shifted:2:power:-1")
     np.testing.assert_allclose(w.values(2), [1.0 / 3.0, 0.25])
     w = bl.parse_weights_literal("explicit:2,3:power:0")

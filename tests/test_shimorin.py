@@ -100,7 +100,7 @@ def test_head_window_degenerate_denominator():
 
 def test_z2_adjusted_weights_structure():
     w = bl.z2_adjusted_weights(0.0)
-    assert w(0) == pytest.approx(1.5, abs=1e-12)
+    assert w.values(1)[0] == pytest.approx(1.5, abs=1e-12)
     np.testing.assert_allclose(w.values(5)[1:], 1.0)
     assert bl.weight_criterion(w, 2, 0, 100_000).holds
 
@@ -109,8 +109,8 @@ def test_z2_adjusted_weights_midpoint():
     for alpha in (-0.7, -0.5):
         lo, hi = bl.head_weight_window(alpha)
         w = bl.z2_adjusted_weights(alpha)
-        assert w(0) == pytest.approx((lo + hi) / 2.0, rel=1e-12)
-        assert w(3) == pytest.approx(4.0 ** alpha, rel=1e-12)
+        assert w.values(1)[0] == pytest.approx((lo + hi) / 2.0, rel=1e-12)
+        assert w.values(4)[3] == pytest.approx(4.0 ** alpha, rel=1e-12)
         assert bl.weight_criterion(w, 2, 0, 100_000).holds
 
 
@@ -121,10 +121,10 @@ def test_z2_adjusted_weights_empty_window():
 
 def test_steep_head_weights_values():
     w = bl.steep_head_weights()
-    assert w(0) == 1.0
-    assert w(1) == pytest.approx(2.0 ** -16, rel=1e-15)
-    assert w(21) == pytest.approx(22.0 ** -16, rel=1e-15)
-    assert w(22) == pytest.approx(1.0 / 23.0, rel=1e-15)
+    assert w.values(1)[0] == 1.0
+    assert w.values(2)[1] == pytest.approx(2.0 ** -16, rel=1e-15)
+    assert w.values(22)[21] == pytest.approx(22.0 ** -16, rel=1e-15)
+    assert w.values(23)[22] == pytest.approx(1.0 / 23.0, rel=1e-15)
 
 
 def test_steep_head_fails_criterion():

@@ -282,8 +282,8 @@ def test_report_dims():
     assert rep.compare_degree == 40
 
 
-def test_wsp_report_builds_one_gram_per_span():
-    # M and the regenerated span build the Gram; W and the defect reuse M's
+def test_wsp_report_builds_one_gram():
+    # M builds the Gram; W, the regeneration inside M and the defect reuse it
     degrees = []
 
     class Counting(bl.InnerProduct):
@@ -293,7 +293,30 @@ def test_wsp_report_builds_one_gram_per_span():
 
     rep = bl.wsp_report([bl.ComplexSeries([1.0, 0.7])], Z2, Counting(), 64, 40)
     assert (rep.dim_invariant, rep.dim_wandering, rep.dim_regenerated) == (33, 1, 33)
-    assert degrees == [64, 64]
+    assert degrees == [64]
+
+
+def test_regeneration_stays_inside_invariant_span():
+    # three outer generators under z^3 (benchmark subspace seed 35, block 25):
+    # regenerating in the whole space kept a 1e-11 direction and gave G = 81
+    literals = [
+        "1.061694398379568,-0.456528534643055;-0.7497285985018788,-0.22238492831340922;"
+        "0.1865576816471977,-0.2217039075586318;-0.21801003031510907,0.17018700349884203;"
+        "0.06419189516097208,-0.0016089329828273314",
+        "-0.9626162108170462,-1.6854183574333221;0.9605492186968545,0.5439293457935285;"
+        "-0.188023247135177,-0.023626702882585303;0.13672202869705488,-0.08637784729623507;"
+        "-0.027493758354440574,0.11562185300934315;-0.0073006459620027185,-0.04939655949150815;"
+        "0.00698368786219032,0.022638174389421995;-0.0014980995866356735,-0.006593489495743507;"
+        "0.0009458374248660957,0.0018692484974054766",
+        "-0.6179974174786721,0.011897417818567423;0.24451864749329597,-0.47601739236390883;"
+        "0.03285786279123959,0.02015140807936588;0.0838484493979443,-0.009662014392408318;"
+        "-0.004739207644668637,0.019857649072426358",
+    ]
+    b = bl.BlaschkeProduct((0j, 0j, 0j), 1.5364515987239251)
+    ip = bl.TaylorInnerProduct(bl.PowerLawWeights(-0.6308086001921981))
+    rep = bl.wsp_report([bl.parse_series_literal(t) for t in literals], b, ip, 80, 40)
+    assert (rep.dim_invariant, rep.dim_wandering, rep.dim_regenerated) == (80, 3, 80)
+    assert rep.defect <= 1e-12
 
 
 def test_defect_bounded_by_one():
