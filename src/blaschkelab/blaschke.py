@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_ORDER_TOL, ComplexSeries, mul
+from .series import DEFAULT_ORDER_TOL, ComplexSeries, format_complex_literal, mul
 
 __all__ = [
     "MAX_ZERO_MODULUS",
@@ -156,5 +156,4 @@ def parse_blaschke_literal(text: str) -> BlaschkeProduct:
 
 
 def format_blaschke_literal(b: BlaschkeProduct) -> str:
-    zs = ";".join(f"{z.real:.12g},{z.imag:.12g}" for z in b.zeros)
-    return f"zeros={zs} phase={b.phase:.12g}"
+    return f"zeros={format_complex_literal(b.zeros)} phase={b.phase:.12g}"

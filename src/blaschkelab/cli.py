@@ -37,6 +37,7 @@ from .series import (
     ComplexSeries,
     PowerLawWeights,
     WeightSequence,
+    format_complex_literal,
     format_series_literal,
     parse_series_literal,
     parse_weights_literal,
@@ -265,21 +266,36 @@ def cmd_scan(parser, args) -> int:
     return EXIT_OK
 
 
+def _trimmed_lengths(layers) -> list:
+    """Printed length of each layer, from one pass over the stacked layers.
+
+    The rule is ComplexSeries.trimmed_degree's: keep every entry up to the
+    last |a_n| > 1e-12 * max |a_n|, and one entry of an all-zero row.  The
+    stacked temporaries are freed on return, before the layers are
+    formatted, so the formatted strings can reuse their memory.
+    """
+    mags = np.abs(np.array([h.coeffs for h in layers]))
+    kept = mags > 1e-12 * mags.max(axis=1, keepdims=True)
+    return np.where(kept.any(axis=1), kept.shape[1] - kept[:, ::-1].argmax(axis=1), 1).tolist()
+
+
 def _layer_rows(coefficients) -> list:
-    rows = []
-    for i, h in enumerate(coefficients.layers):
-        trimmed = h.resized(h.trimmed_degree())
-        rows.append(
-            {
-                "layer": i,
-                "h2_norm": float(np.linalg.norm(h.coeffs)),
-                "coeffs": format_series_literal(trimmed),
-            }
-        )
-    return rows
+    layers = coefficients.layers
+    if not layers:
+        return []
+    return [
+        {
+            "layer": i,
+            "h2_norm": float(np.linalg.norm(h.coeffs)),
+            "coeffs": format_complex_literal(h.coeffs[:n]),
+        }
+        for i, (h, n) in enumerate(zip(layers, _trimmed_lengths(layers)))
+    ]
 
 
 def cmd_decompose(parser, args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        parser.error("--alpha must be finite")
     exhausted = False
     try:
         coefficients = badic.decompose(args.f, args.blaschke, args.depth)

@@ -21,6 +21,7 @@ __all__ = [
     "ShiftedWeights",
     "WeightSequence",
     "add",
+    "format_complex_literal",
     "format_series_literal",
     "h2_norm",
     "inner_product",
@@ -258,8 +259,18 @@ def parse_series_literal(text: str) -> ComplexSeries:
     return ComplexSeries(coeffs)
 
 
+def format_complex_literal(values) -> str:
+    """'re,im;re,im;...' with 12 significant digits, from one %-template.
+
+    The one complex-literal formatter: series, zero lists and printed layers
+    all go through it.  An empty sequence gives the empty string.
+    """
+    flat = np.ascontiguousarray(values, dtype=complex).view(float)
+    return ";".join(["%.12g,%.12g"] * (flat.size // 2)) % tuple(flat.tolist())
+
+
 def format_series_literal(f: ComplexSeries) -> str:
-    return ";".join(f"{c.real:.12g},{c.imag:.12g}" for c in f.coeffs)
+    return format_complex_literal(f.coeffs)
 
 
 def parse_weights_literal(text: str) -> WeightSequence:

@@ -222,3 +222,59 @@ def reference_orthonormalize(candidates: list, g: np.ndarray) -> np.ndarray:
     if not kept:
         return np.zeros((n, 0), dtype=complex)
     return np.column_stack(kept)
+
+
+# Reference layer serialization: ``cli._layer_rows`` and the series
+# formatter as they were before layers were formatted in one pass, kept
+# verbatim as an oracle for the printed bytes.
+def reference_format_series_literal(f) -> str:
+    return ";".join(f"{c.real:.12g},{c.imag:.12g}" for c in f.coeffs)
+
+
+def reference_layer_rows(coefficients) -> list:
+    rows = []
+    for i, h in enumerate(coefficients.layers):
+        trimmed = h.resized(h.trimmed_degree())
+        rows.append(
+            {
+                "layer": i,
+                "h2_norm": float(np.linalg.norm(h.coeffs)),
+                "coeffs": reference_format_series_literal(trimmed),
+            }
+        )
+    return rows
+
+
+def mp_operator_min_eig(b, alpha, in_degree, out_degree, dps=30):
+    """Minimum eigenvalue of the operator-check block form at ``dps`` digits.
+
+    Rebuilds 2||Tx||^2 + 2||y||^2 - ||x + Ty||^2 from the zeros alone: the
+    Taylor coefficients of B by mpmath series products, the weights
+    (n+1)^alpha, the Hermitian block matrix, and ``mpmath.eighe``.
+    """
+    n_in, n_out = in_degree + 1, out_degree + 1
+    with mpmath.workdps(dps):
+        taylor = [mpmath.expj(mpmath.mpf(b.phase))] + [mpmath.mpc(0)] * out_degree
+        for z in b.zeros:
+            a = mpmath.mpc(z.real, z.imag)
+            geo = [mpmath.conj(a) ** m for m in range(n_out)]
+            factor = [-a] + [geo[m - 1] - a * geo[m] for m in range(1, n_out)]
+            taylor = [sum(taylor[i] * factor[m - i] for i in range(m + 1)) for m in range(n_out)]
+        w = [mpmath.mpf(n + 1) ** mpmath.mpf(alpha) for n in range(n_out)]
+
+        def t(i, j):
+            return taylor[i - j] if i >= j else mpmath.mpc(0)
+
+        def tgt(i, j):
+            return sum(mpmath.conj(t(m, i)) * w[m] * t(m, j) for m in range(n_out))
+
+        block = mpmath.matrix(2 * n_in, 2 * n_in)
+        for i in range(n_in):
+            for j in range(n_in):
+                diag = w[i] if i == j else 0
+                q = tgt(i, j)
+                block[i, j] = 2 * q - diag
+                block[i, n_in + j] = -w[i] * t(i, j)
+                block[n_in + i, j] = -w[j] * mpmath.conj(t(j, i))
+                block[n_in + i, n_in + j] = 2 * diag - q
+        return float(mpmath.eighe(block, eigvals_only=True)[0])

@@ -121,6 +121,14 @@ def test_blaschke_literal_round_trip():
     assert abs(c.phase - b.phase) < 1e-12
 
 
+def test_blaschke_literal_bytes():
+    b = bl.BlaschkeProduct((0.5 + 0j, complex(-0.0, 0.3), 1 / 3 - 2e-310j), phase=1.25)
+    assert bl.format_blaschke_literal(b) == (
+        "zeros=0.5,0;-0,0.3;0.333333333333,-2e-310 phase=1.25"
+    )
+    assert bl.format_blaschke_literal(bl.BlaschkeProduct(())) == "zeros= phase=0"
+
+
 def test_blaschke_literal_examples():
     b = bl.parse_blaschke_literal("zeros=0.5,0;0,0.3 phase=0")
     assert b.zeros == (0.5 + 0j, 0.3j)

@@ -1,15 +1,21 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blaschkelab
 from blaschkelab import cli
+
+from helpers import reference_layer_rows
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -193,6 +199,83 @@ def test_decompose_depth_exhausted(tmp_path, capsys):
     assert payload["depth_exhausted"] is True
     assert payload["depth_used"] == 2
     assert payload["residual_norm"] > 1e-9
+
+
+F8 = "1,0;0.5,-0.25;-0.3,0.7;0.125,0;0,-1;2,0.5;-0.75,0.1;0.3,0.3;-1,2"
+DECOMPOSE_CASES = {
+    "zero_055_057_N8": ["--f", F8, "--blaschke", "zeros=0.55,0.57", "--alpha", "0.5"],
+    "z2_N8": ["--f", F8, "--blaschke", "zeros=0,0;0,0"],
+    "zero_series": ["--f", "0,0", "--blaschke", "zeros=0.5,0"],
+    "depth2_partial": ["--f", F8, "--blaschke", "zeros=0.55,0.57", "--depth", "2"],
+}
+# sha256 of stdout, recorded from the per-layer serialization loop that
+# ``helpers.reference_layer_rows`` keeps verbatim.
+DECOMPOSE_DIGESTS = {
+    ("zero_055_057_N8", "json"): (0, "64961ff339bd3a29d061759e8fc8efb2b5fc2df000cf54e1cab304eb4c1ab61e"),
+    ("zero_055_057_N8", "csv"): (0, "6daea043afebd755a06cff1927f762a88e24b5321157aaa78af12993f5aaec7b"),
+    ("z2_N8", "json"): (0, "58fca434ba192083b873dfd3e50e54d54d6b3ebcd949b372770421516f3004f8"),
+    ("z2_N8", "csv"): (0, "d0c0aec6bb7ec7fe089ec0d55440cc778368b25287dd9bcd4e18cff93fac9229"),
+    ("zero_series", "json"): (0, "0f5ea95dfc3c91ed17498468d69aa7072e542f0f91bc554da772f5e56cf7b75d"),
+    ("zero_series", "csv"): (0, "6c2377ae49ea791006db76526432b7d0e225a088d77997788d59f62cff6e1b36"),
+    ("depth2_partial", "json"): (2, "04d0e033a3b11cd543fede16462eb3d264fda2d217c25527abd608ac3e83cab6"),
+    ("depth2_partial", "csv"): (2, "a076bc60764828c6a64dc6d0dcaf1e75d826ea3d28fdf5316984c545c7bf83af"),
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(DECOMPOSE_DIGESTS))
+def test_decompose_output_bytes_pinned(case, fmt, capsys):
+    code, out, _ = run_cli(["decompose", *DECOMPOSE_CASES[case], "--format", fmt], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DECOMPOSE_DIGESTS[case, fmt]
+
+
+def test_decompose_zero_series_has_no_layers(capsys):
+    code, payload = run_json(["decompose", *DECOMPOSE_CASES["zero_series"]], capsys)
+    assert code == 0
+    assert payload["layers"] == []
+    assert payload["depth_used"] == 0
+
+
+# Real and imaginary parts: exact and signed zeros, subnormals, and normal
+# values over a wide exponent range.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e-300]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _layer_stacks(draw):
+    """Equal-width layers: free rows, all-zero rows, and rows whose last entry
+    sits exactly at 1e-12 * max, which the trim must drop."""
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [complex(draw(_PARTS), draw(_PARTS)) for _ in range(width)]
+        kind = draw(st.sampled_from(["free", "zero", "at-threshold"]))
+        if kind == "zero":
+            row = [complex(draw(st.sampled_from([0.0, -0.0])), 0.0) for _ in range(width)]
+        elif kind == "at-threshold" and width > 1:
+            top = draw(st.floats(min_value=1.0, max_value=1e3))
+            row = [complex(top, 0.0)] + [c * 1e-7 for c in row[1:-1]] + [complex(1e-12 * top, 0.0)]
+        rows.append(blaschkelab.ComplexSeries(row))
+    return types.SimpleNamespace(layers=tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layer_stacks())
+def test_layer_rows_match_per_layer_loop(coefficients):
+    assert cli._layer_rows(coefficients) == reference_layer_rows(coefficients)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_decompose_rejects_nonfinite_alpha(alpha, fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--f", "1,0", "--blaschke", "zeros=0,0", f"--alpha={alpha}", "--format", fmt])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha must be finite" in captured.err
 
 
 def test_bnorm_shift_ratio_one(capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import blaschkelab as bl
 from blaschkelab.series import DEFAULT_ORDER_TOL
 
-from helpers import evaluate, random_series
+from helpers import evaluate, random_series, reference_format_series_literal
 
 
 def test_construction_trims_nothing():
@@ -163,6 +163,13 @@ def test_literal_round_trip_property(coeffs):
     g = bl.parse_series_literal(bl.format_series_literal(f))
     assert g.truncation_degree == f.truncation_degree
     np.testing.assert_allclose(g.coeffs, f.coeffs, rtol=1e-11, atol=1e-11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_literal_bytes_match_per_coefficient_format(coeffs):
+    f = bl.ComplexSeries(coeffs)
+    assert bl.format_series_literal(f) == reference_format_series_literal(f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import blaschkelab as bl
 
+from helpers import mp_operator_min_eig
+
 
 def test_monomial_threshold_closed_forms():
     assert bl.monomial_threshold(1) == pytest.approx(1.0, abs=1e-15)
@@ -161,6 +163,20 @@ def test_operator_check_dimension_validation():
         bl.operator_check(t[:9, :], np.ones(9), 8)  # no room above the input
     with pytest.raises(ValueError):
         bl.operator_check(t, np.zeros(10), 8)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5])
+@pytest.mark.parametrize(
+    "zeros,n_in",
+    [((0j,), 6), ((0j, 0j), 5), ((0.5 + 0j,), 6), ((0.5 + 0j,), 3)],
+    ids=["z-N6", "z2-N5", "a0.5-N6", "a0.5-N3"],
+)
+def test_operator_check_min_eig_matches_mp_oracle(zeros, n_in, alpha):
+    b = bl.BlaschkeProduct(zeros)
+    out_degree = n_in + 64  # keeps the lost tail of B = (z - 0.5)/(1 - 0.5z) below 1e-19
+    t = bl.multiplication_matrix(b, n_in, out_degree)
+    res = bl.operator_check(t, bl.PowerLawWeights(alpha).values(out_degree + 1), n_in)
+    assert res.min_eig == pytest.approx(mp_operator_min_eig(b, alpha, n_in, out_degree), abs=1e-12)
 
 
 def test_operator_weight_agreement_spot():
